@@ -1,6 +1,8 @@
 # WSPeer build targets. Everything is stdlib-only Go; these are
 # conveniences, not requirements. `make check` is the pre-commit gate:
-# it vets and runs the full test suite under the race detector.
+# it vets and runs the full test suite under the race detector, then vets
+# and tests the benchmark module in perfbench/ (a separate Go module the
+# root ./... never compiles).
 
 GO ?= go
 BENCH_BASELINE ?= bench_baseline.json
@@ -11,7 +13,8 @@ all: build vet test
 
 help:
 	@echo "WSPeer make targets:"
-	@echo "  check            vet + full test suite under -race (the pre-commit gate)"
+	@echo "  check            vet + full test suite under -race, then vet + test"
+	@echo "                   perfbench/ (the pre-commit gate)"
 	@echo "  build/vet/test   the individual pieces of 'all'"
 	@echo "  bench            run every Go benchmark with -benchmem"
 	@echo "  bench-baseline   regenerate $(BENCH_BASELINE) (experiments A3+A4)."
@@ -27,10 +30,14 @@ help:
 	@echo "  examples         run every example program once"
 	@echo "  loc              count lines of Go"
 
-# The pre-commit gate: static analysis plus the racy test suite.
+# The pre-commit gate: static analysis plus the racy test suite, then
+# the benchmark module. perfbench/ is its own module, so ./... above
+# never compiles it; vet and test build it without leaving a binary in
+# the tree (go build would, in a single-main module).
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

@@ -111,7 +111,24 @@ func runChaos(t *testing.T, seed int64) chaosRun {
 	reg := transport.NewRegistry()
 	reg.Register(injector.Transport(transport.NewHTTPTransport()))
 
-	consumer := wspeer.NewPeer()
+	// Breakers on a virtual clock advanced 10ms per call: the 50ms open
+	// timeout elapses after five refused-primary calls, forcing observable
+	// open → half-open → (closed | open) traffic within the run.
+	clock := &chaosClock{t: time.Unix(0, 0)}
+	var mu sync.Mutex
+	var transitions []string
+	consumer := wspeer.NewPeer(wspeer.WithBreakers(wspeer.BreakerOptions{
+		Window:           8,
+		FailureThreshold: 0.5,
+		MinSamples:       4,
+		OpenTimeout:      50 * time.Millisecond,
+		Now:              clock.Now,
+		OnChange: func(ep string, from, to wspeer.BreakerState) {
+			mu.Lock()
+			transitions = append(transitions, from.String()+"->"+to.String())
+			mu.Unlock()
+		},
+	}))
 	chb, err := wspeer.NewHTTPBinding(wspeer.HTTPOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -123,25 +140,6 @@ func runChaos(t *testing.T, seed int64) chaosRun {
 		t.Fatal(err)
 	}
 	cpb.Attach(consumer)
-
-	// Breakers on a virtual clock advanced 10ms per call: the 50ms open
-	// timeout elapses after five refused-primary calls, forcing observable
-	// open → half-open → (closed | open) traffic within the run.
-	clock := &chaosClock{t: time.Unix(0, 0)}
-	var mu sync.Mutex
-	var transitions []string
-	consumer.Client().ConfigureBreakers(wspeer.BreakerOptions{
-		Window:           8,
-		FailureThreshold: 0.5,
-		MinSamples:       4,
-		OpenTimeout:      50 * time.Millisecond,
-		Now:              clock.Now,
-		OnChange: func(ep string, from, to wspeer.BreakerState) {
-			mu.Lock()
-			transitions = append(transitions, from.String()+"->"+to.String())
-			mu.Unlock()
-		},
-	})
 	var healthEvents int
 	consumer.AddListener(wspeer.ListenerFuncs{Health: func(e wspeer.HealthEvent) {
 		mu.Lock()
@@ -172,7 +170,7 @@ func runChaos(t *testing.T, seed int64) chaosRun {
 		t.Fatal("P2PS fallback never became locatable")
 	}
 
-	inv, err := consumer.Client().NewFailoverInvocation(httpInfo, p2psInfo)
+	inv, err := consumer.Client().NewInvocation(httpInfo, p2psInfo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"wspeer"
 	"wspeer/internal/engine"
@@ -84,8 +85,10 @@ func main() {
 		log.Fatalf("deploy+publish: %v", err)
 	}
 
-	// 3. The consumer peer: locate by name, invoke over HTTP.
-	consumer := wspeer.NewPeer()
+	// 3. The consumer peer: locate by name, invoke over HTTP. Its client
+	// subsystems are fixed when it is built; here a tripped circuit
+	// breaker probes again after one second instead of the default.
+	consumer := wspeer.NewPeer(wspeer.WithBreakers(wspeer.BreakerOptions{OpenTimeout: time.Second}))
 	consumerBinding, err := wspeer.NewHTTPBinding(wspeer.HTTPOptions{UDDIEndpoint: registryURL})
 	if err != nil {
 		log.Fatal(err)
@@ -95,13 +98,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	info, err := consumer.Client().LocateOne(ctx, wspeer.NameQuery{Name: "Echo"})
+	infos, err := consumer.Client().LocateCached(ctx, wspeer.NameQuery{Name: "Echo"})
 	if err != nil {
 		log.Fatalf("locate: %v", err)
 	}
-	fmt.Printf("located %q at %s (via %s)\n", info.Name, info.Endpoint, info.Locator)
+	for _, info := range infos {
+		fmt.Printf("located %q at %s (via %s)\n", info.Name, info.Endpoint, info.Locator)
+	}
 
-	inv, err := consumer.Client().NewInvocation(info)
+	// One invocation bound to every located endpoint: it calls the first
+	// and fails over to the next on a transport failure.
+	inv, err := consumer.Client().NewInvocation(infos...)
 	if err != nil {
 		log.Fatal(err)
 	}

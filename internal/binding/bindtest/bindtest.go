@@ -68,8 +68,8 @@ func testTelemetrySequence(t *testing.T, w World) {
 	consumer, _ := fab.NewPeer(t)
 	ctx := context.Background()
 
-	col := telemetry.NewCollector(0)
-	prev := telemetry.Default().Tracer.SetSink(col)
+	ring := telemetry.NewSpanRing(0)
+	prev := telemetry.Default().Tracer.SetSink(ring)
 	t.Cleanup(func() { telemetry.Default().Tracer.SetSink(prev) })
 
 	const svcName = "TelemetryConformance"
@@ -91,7 +91,12 @@ func testTelemetrySequence(t *testing.T, w World) {
 		t.Fatalf("echoString = %q", got)
 	}
 
-	spans := col.ByService(svcName)
+	var spans []telemetry.SpanData
+	for _, d := range ring.Spans() {
+		if d.Service == svcName {
+			spans = append(spans, d)
+		}
+	}
 	if len(spans) != 2 {
 		t.Fatalf("round trip produced %d spans for %s, want 2 (server.dispatch, client.invoke): %+v",
 			len(spans), svcName, spans)

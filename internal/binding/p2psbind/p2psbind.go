@@ -682,12 +682,14 @@ func (b *Binding) FetchDefinitions(ctx context.Context, adv *p2ps.ServiceAdverti
 	if err := out.Send(env.Marshal()); err != nil {
 		return nil, err
 	}
+	timeout := time.NewTimer(b.replyTimeout)
+	defer timeout.Stop()
 	select {
 	case data := <-ch:
 		return wsdl.Parse(data)
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-time.After(b.replyTimeout):
+	case <-timeout.C:
 		return nil, fmt.Errorf("timed out retrieving WSDL from definition pipe")
 	}
 }
@@ -802,7 +804,8 @@ func (i invoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, p
 	// suppression makes that safe.
 	attempts := b.retries + 1
 	perAttempt := b.replyTimeout / time.Duration(attempts)
-	deadline := time.After(b.replyTimeout)
+	deadline := time.NewTimer(b.replyTimeout)
+	defer deadline.Stop()
 	retry := time.NewTimer(perAttempt)
 	defer retry.Stop()
 	sent := 1
@@ -826,7 +829,7 @@ func (i invoker) Invoke(ctx context.Context, svc *core.ServiceInfo, op string, p
 			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-deadline:
+		case <-deadline.C:
 			return nil, fmt.Errorf("p2psbind: no response from %s within %v (%d attempts)", svc.Endpoint, b.replyTimeout, sent)
 		}
 	}

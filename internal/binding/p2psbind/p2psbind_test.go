@@ -174,12 +174,15 @@ func TestServerEventsFire(t *testing.T) {
 	providerPeer, _ := o.boundPeer()
 	consumerPeer, _ := o.boundPeer()
 	ctx := context.Background()
-	var mu sync.Mutex
-	served := 0
+	// The server event fires once the provider's dispatch pipeline
+	// unwinds. Over pipes the reply is sent from inside that pipeline, so
+	// the consumer can hold its result before the event fires: wait for
+	// it rather than reading a count as soon as Invoke returns.
+	// Buffered beyond the one expected event so a duplicate shows up as
+	// an extra count below instead of blocking the provider's listener.
+	served := make(chan struct{}, 4)
 	providerPeer.AddListener(core.ListenerFuncs{Server: func(e core.ServerMessageEvent) {
-		mu.Lock()
-		served++
-		mu.Unlock()
+		served <- struct{}{}
 	}})
 	if _, err := providerPeer.Server().DeployAndPublish(ctx, echoDef()); err != nil {
 		t.Fatal(err)
@@ -189,10 +192,13 @@ func TestServerEventsFire(t *testing.T) {
 	if _, err := inv.Invoke(ctx, "echoString", engine.P("msg", "x")); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if served != 1 {
-		t.Fatalf("server events = %d", served)
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no server event within 5s of the reply")
+	}
+	if n := len(served); n != 0 {
+		t.Fatalf("%d extra server events for one invocation", n)
 	}
 }
 

@@ -63,21 +63,13 @@ type ExchangeOptions struct {
 
 // clientExchange is the Client's lazily-built exchange state: the
 // correlation table for pending callbacks and one hosted reply endpoint
-// per endpoint scheme.
+// per endpoint scheme. opts is fixed by NewPeer; mu guards the rest.
 type clientExchange struct {
+	opts ExchangeOptions
+
 	mu        sync.Mutex
-	opts      ExchangeOptions
 	table     *exchange.Table
 	endpoints map[string]ReplyEndpoint // by endpoint URI scheme
-}
-
-// ConfigureExchange sets the client's exchange-layer options. Call it
-// before the first InvokeCallback: the correlation table is built lazily
-// on first use and an existing table keeps its original bounds.
-func (c *Client) ConfigureExchange(opts ExchangeOptions) {
-	c.exch.mu.Lock()
-	defer c.exch.mu.Unlock()
-	c.exch.opts = opts
 }
 
 // exchangeTable returns the client's correlation table, building it on
@@ -172,12 +164,10 @@ func (c *Client) handleReply(body []byte) {
 }
 
 // stampExchange engages the exchange layer on a plain request/response
-// invocation when the client opted in via StampRequestResponse.
+// invocation when the client opted in via StampRequestResponse
+// (WithExchange).
 func (c *Client) stampExchange(pc *pipeline.Call) {
-	c.exch.mu.Lock()
-	stamp := c.exch.opts.StampRequestResponse
-	c.exch.mu.Unlock()
-	if !stamp {
+	if !c.exch.opts.StampRequestResponse {
 		return
 	}
 	pc.SetMeta(exchange.MetaPattern, exchange.RequestResponse)

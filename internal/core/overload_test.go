@@ -36,10 +36,9 @@ func (b *blockingInvoker) Invoke(ctx context.Context, svc *ServiceInfo, op strin
 // scheduler sheds part of a batch: shed slots carry *OverloadError, the
 // surviving slots succeed, and the output stays in input order.
 func TestInvokeManyMidBatchShed(t *testing.T) {
-	p := NewPeer()
 	// One worker, one queue slot: the first invocation pins the pool, one
 	// more waits, and the rest of the batch is shed.
-	p.Client().ConfigureScheduler(SchedulerOptions{MaxConcurrent: 1, MaxQueue: 1})
+	p := NewPeer(WithScheduler(SchedulerOptions{MaxConcurrent: 1, MaxQueue: 1}))
 	inv := &blockingInvoker{
 		schemes: []string{"http"},
 		gate:    make(chan struct{}),
@@ -130,12 +129,13 @@ func TestHedgedInvocationWinsOnSecondEndpoint(t *testing.T) {
 	}
 	p.Client().RegisterInvoker(inv)
 
-	hi, err := p.Client().NewHedgedInvocation(HedgeOptions{Threshold: 5 * time.Millisecond},
+	hi, err := p.Client().NewInvocation(
 		&ServiceInfo{Name: "E", Endpoint: "http://slow/E"},
 		&ServiceInfo{Name: "E", Endpoint: "http://fast/E"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hi = hi.WithHedging(HedgeOptions{Threshold: 5 * time.Millisecond})
 	start := time.Now()
 	res, err := hi.Invoke(context.Background(), "op")
 	if err != nil {
@@ -153,9 +153,9 @@ func TestHedgedInvocationWinsOnSecondEndpoint(t *testing.T) {
 }
 
 func TestHedgedInvocationDeniedWithoutBudgetTokens(t *testing.T) {
-	p := NewPeer()
 	// A drained budget: floor 1 spent immediately below.
-	b := p.Client().ConfigureRetryBudget(resilience.BudgetOptions{Floor: 1, Cap: 1, Ratio: 0.001})
+	p := NewPeer(WithRetryBudget(resilience.BudgetOptions{Floor: 1, Cap: 1, Ratio: 0.001}))
+	b := p.Client().RetryBudget()
 	if !b.TryDraw() {
 		t.Fatalf("priming draw failed")
 	}
@@ -165,12 +165,13 @@ func TestHedgedInvocationDeniedWithoutBudgetTokens(t *testing.T) {
 		slowWait: 150 * time.Millisecond,
 	}
 	p.Client().RegisterInvoker(inv)
-	hi, err := p.Client().NewHedgedInvocation(HedgeOptions{Threshold: 5 * time.Millisecond},
+	hi, err := p.Client().NewInvocation(
 		&ServiceInfo{Name: "E", Endpoint: "http://slow/E"},
 		&ServiceInfo{Name: "E", Endpoint: "http://fast/E"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hi = hi.WithHedging(HedgeOptions{Threshold: 5 * time.Millisecond})
 	if _, err := hi.Invoke(context.Background(), "op"); err != nil {
 		t.Fatalf("invoke: %v", err)
 	}
@@ -181,8 +182,8 @@ func TestHedgedInvocationDeniedWithoutBudgetTokens(t *testing.T) {
 }
 
 func TestClientBudgetCreditsOnLogicalSuccess(t *testing.T) {
-	p := NewPeer()
-	b := p.Client().ConfigureRetryBudget(resilience.BudgetOptions{Floor: 1, Cap: 10, Ratio: 0.25})
+	p := NewPeer(WithRetryBudget(resilience.BudgetOptions{Floor: 1, Cap: 10, Ratio: 0.25}))
+	b := p.Client().RetryBudget()
 	p.Client().RegisterInvoker(&fakeInvoker{schemes: []string{"http"}, result: &engine.Result{}})
 	ivk, err := p.Client().NewInvocation(&ServiceInfo{Name: "E", Endpoint: "http://h/E"})
 	if err != nil {
@@ -202,11 +203,11 @@ func TestClientBudgetCreditsOnLogicalSuccess(t *testing.T) {
 func TestHedgedInvocationSingleEndpoint(t *testing.T) {
 	p := NewPeer()
 	p.Client().RegisterInvoker(&fakeInvoker{schemes: []string{"http"}, result: &engine.Result{}})
-	hi, err := p.Client().NewHedgedInvocation(HedgeOptions{},
-		&ServiceInfo{Name: "E", Endpoint: "http://h/E"})
+	hi, err := p.Client().NewInvocation(&ServiceInfo{Name: "E", Endpoint: "http://h/E"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hi = hi.WithHedging(HedgeOptions{})
 	if _, err := hi.Invoke(context.Background(), "op"); err != nil {
 		t.Fatalf("single-endpoint hedged invoke: %v", err)
 	}

@@ -34,26 +34,103 @@ type Peer struct {
 	bindings map[string]Binding // attached via AttachBinding, by name
 }
 
+// Option fixes one client subsystem's configuration at construction
+// (NewPeer). Every option takes that subsystem's existing options struct;
+// a subsystem no option names keeps its defaults.
+type Option func(*config)
+
+// config collects the options NewPeer applies.
+type config struct {
+	breakers resilience.BreakerOptions
+	budget   *resilience.BudgetOptions // nil: no retry budget
+	cache    resolve.Options
+	sched    SchedulerOptions
+	exchange ExchangeOptions
+}
+
+// WithBreakers tunes the client's endpoint health registry. Breaker state
+// transitions always reach the peer's event tree as HealthEvents, composed
+// after any OnChange in opts.
+func WithBreakers(opts resilience.BreakerOptions) Option {
+	return func(c *config) { c.breakers = opts }
+}
+
+// WithRetryBudget installs a retransmission budget on the client (none by
+// default). Every invocation then carries the budget on its pipeline Meta
+// (pipeline.MetaRetryBudget): installed Retry interceptors draw a token
+// per retransmission, hedged invocations draw one per hedge, and each
+// logical invocation that succeeds credits a fraction back — so across
+// the whole client, retries plus hedges are bounded to a fraction of the
+// success rate and cannot storm a struggling server.
+func WithRetryBudget(opts resilience.BudgetOptions) Option {
+	return func(c *config) { c.budget = &opts }
+}
+
+// WithResolutionCache tunes the cache behind LocateCached (default 30s
+// TTL, equal stale window, 2s negative TTL).
+func WithResolutionCache(opts resolve.Options) Option {
+	return func(c *config) { c.cache = opts }
+}
+
+// WithScheduler tunes the bounded invocation scheduler — the worker pool
+// behind InvokeAsync and InvokeMany.
+func WithScheduler(opts SchedulerOptions) Option {
+	return func(c *config) { c.sched = opts }
+}
+
+// WithExchange sets the client's message-exchange options: the bounds of
+// the callback correlation table and whether plain Invoke calls are
+// stamped with WS-Addressing headers.
+func WithExchange(opts ExchangeOptions) Option {
+	return func(c *config) { c.exchange = opts }
+}
+
 // NewPeer returns a peer with empty client and server sides; bindings
-// populate them with locators, publishers, deployers and invokers.
-func NewPeer() *Peer {
+// populate them with locators, publishers, deployers and invokers. The
+// options fix the client's subsystems for the peer's lifetime.
+func NewPeer(opts ...Option) *Peer {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
 	p := &Peer{}
-	p.client = &Client{peer: p, invokers: make(map[string]Invoker)}
+	c := &Client{
+		peer:     p,
+		invokers: make(map[string]Invoker),
+		rcache:   resolve.New(cfg.cache),
+		sched:    newScheduler(cfg.sched),
+		exch:     clientExchange{opts: cfg.exchange},
+	}
 	// ClientMessageEvents fire from the pipeline's Events choke point:
 	// installed first, it sits outermost, so later-installed interceptors
 	// (Retry in particular) produce one event per logical invocation.
-	p.client.chain = pipeline.NewChain(pipeline.Events(func(c *pipeline.Call) {
-		res, _ := c.GetMeta(MetaResult).(*engine.Result)
+	c.chain = pipeline.NewChain(pipeline.Events(func(pc *pipeline.Call) {
+		res, _ := pc.GetMeta(MetaResult).(*engine.Result)
 		p.bus.fireClient(ClientMessageEvent{
-			Service:   c.Service,
-			Operation: c.Op,
+			Service:   pc.Service,
+			Operation: pc.Op,
 			Result:    res,
-			Err:       c.Err,
+			Err:       pc.Err,
 		})
 	}))
-	p.client.rcache = resolve.New(resolve.Options{})
-	p.client.sched = newScheduler(SchedulerOptions{})
-	p.client.ConfigureBreakers(resilience.BreakerOptions{})
+	if cfg.budget != nil {
+		c.budget = resilience.NewRetryBudget(*cfg.budget)
+	}
+	user := cfg.breakers.OnChange
+	cfg.breakers.OnChange = func(ep string, from, to resilience.BreakerState) {
+		if user != nil {
+			user(ep, from, to)
+		}
+		// A breaker opening condemns the endpoint: evict it from every
+		// cached resolution so LocateCached stops offering it until a
+		// live re-discovery (or half-open recovery) brings it back.
+		if to == resilience.BreakerOpen {
+			c.rcache.EvictEndpoint(ep)
+		}
+		p.bus.fireHealth(HealthEvent{Endpoint: ep, From: from.String(), To: to.String()})
+	}
+	c.breakers = resilience.NewGroup(cfg.breakers)
+	p.client = c
 	p.server = &Server{peer: p, deployments: make(map[string]*Deployment), published: make(map[string][]publication)}
 	return p
 }
@@ -93,13 +170,16 @@ type Client struct {
 	// choke point.
 	chain *pipeline.Chain
 
-	mu       sync.RWMutex
-	locators []ServiceLocator
-	invokers map[string]Invoker      // by endpoint scheme
+	// The subsystems below are fixed by NewPeer and never replaced, so
+	// they are read without locking.
 	breakers *resilience.Group       // endpoint health registry
 	rcache   *resolve.Cache          // discovery resolution cache (LocateCached)
 	sched    *scheduler              // bounded pool behind InvokeAsync/InvokeMany
 	budget   *resilience.RetryBudget // retransmission budget shared by Retry/Hedge
+
+	mu       sync.RWMutex
+	locators []ServiceLocator
+	invokers map[string]Invoker // by endpoint scheme
 
 	// exch is the client side of the message-exchange layer (see
 	// exchange.go): the callback correlation table and hosted reply
@@ -108,82 +188,30 @@ type Client struct {
 	exch clientExchange
 }
 
-// Use installs client-side pipeline interceptors (Deadline, Retry,
-// CallStats, or custom ones) around every invocation made through this
-// client, existing Invocations included. Earlier-installed interceptors
-// run outermost.
+// Use installs client-side pipeline interceptors (Deadline, Retry, or
+// custom ones) around every invocation made through this client, existing
+// Invocations included. Earlier-installed interceptors run outermost.
 func (c *Client) Use(ics ...pipeline.Interceptor) { c.chain.Use(ics...) }
-
-// ConfigureBreakers replaces the client's endpoint health registry with
-// one built from opts. Breaker state transitions always reach the peer's
-// event tree as HealthEvents, composed after any OnChange in opts. Call
-// it before invoking: existing breakers (and their accumulated state) are
-// discarded.
-func (c *Client) ConfigureBreakers(opts resilience.BreakerOptions) {
-	user := opts.OnChange
-	opts.OnChange = func(ep string, from, to resilience.BreakerState) {
-		if user != nil {
-			user(ep, from, to)
-		}
-		// A breaker opening condemns the endpoint: evict it from every
-		// cached resolution so LocateCached stops offering it until a
-		// live re-discovery (or half-open recovery) brings it back.
-		if to == resilience.BreakerOpen {
-			c.ResolutionCache().EvictEndpoint(ep)
-		}
-		c.peer.bus.fireHealth(HealthEvent{Endpoint: ep, From: from.String(), To: to.String()})
-	}
-	g := resilience.NewGroup(opts)
-	c.mu.Lock()
-	c.breakers = g
-	c.mu.Unlock()
-}
 
 // Breakers returns the client's endpoint health registry: one circuit
 // breaker per endpoint this client has invoked with failover (or that an
 // installed Group interceptor has guarded).
-func (c *Client) Breakers() *resilience.Group {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.breakers
-}
+func (c *Client) Breakers() *resilience.Group { return c.breakers }
 
 // Pipeline exposes the client-side interceptor chain.
 func (c *Client) Pipeline() *pipeline.Chain { return c.chain }
 
-// ConfigureRetryBudget installs a retransmission budget on the client and
-// returns it. Once installed, every invocation carries the budget on its
-// pipeline Meta (pipeline.MetaRetryBudget): installed Retry interceptors
-// draw a token per retransmission, Hedge draws one per hedge, and each
-// logical invocation that succeeds credits a fraction back — so across
-// the whole client, retries plus hedges are bounded to a fraction of the
-// success rate and cannot storm a struggling server.
-func (c *Client) ConfigureRetryBudget(opts resilience.BudgetOptions) *resilience.RetryBudget {
-	b := resilience.NewRetryBudget(opts)
-	c.mu.Lock()
-	c.budget = b
-	c.mu.Unlock()
-	return b
-}
-
 // RetryBudget returns the client's retransmission budget, nil when none
-// is configured.
-func (c *Client) RetryBudget() *resilience.RetryBudget {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.budget
-}
+// is configured (WithRetryBudget).
+func (c *Client) RetryBudget() *resilience.RetryBudget { return c.budget }
 
 // pipelineBudget adapts the configured budget to the pipeline interface,
 // returning a true nil (not a typed nil) when none is configured.
 func (c *Client) pipelineBudget() pipeline.RetryBudget {
-	c.mu.RLock()
-	b := c.budget
-	c.mu.RUnlock()
-	if b == nil {
+	if c.budget == nil {
 		return nil
 	}
-	return b
+	return c.budget
 }
 
 // AddLocator registers a locator. Multiple locators can coexist — e.g. a
@@ -346,64 +374,28 @@ func (c *Client) LocateOne(ctx context.Context, q ServiceQuery) (*ServiceInfo, e
 	return infos[0], nil
 }
 
-// NewInvocation binds an invocation to a located service, selecting the
-// invoker by the endpoint's URI scheme.
-func (c *Client) NewInvocation(svc *ServiceInfo) (*Invocation, error) {
-	t, err := c.resolveTarget(svc)
-	if err != nil {
-		return nil, err
-	}
-	return &Invocation{client: c, targets: []invTarget{t}}, nil
-}
-
-// NewFailoverInvocation binds an invocation to several located endpoints
-// for one logical service — typically the same service discovered through
-// different bindings (an HTTP endpoint and a P2PS pipe address). Targets
-// are tried in the given preference order; an endpoint whose circuit
-// breaker is open is skipped, and a substrate failure (as judged by
-// resilience.Classify) fails over to the next target. Application-level
-// SOAP faults and caller cancellation never fail over. Each attempt's
-// outcome feeds the endpoint's breaker, so health transitions surface as
-// HealthEvents on the peer's event tree.
-func (c *Client) NewFailoverInvocation(svcs ...*ServiceInfo) (*Invocation, error) {
+// NewInvocation binds an invocation to one or more located endpoints for
+// one logical service, selecting each endpoint's invoker by its URI
+// scheme. With one service, Invoke calls it directly. With several —
+// typically the same service discovered through different bindings, or a
+// LocateCached resolution — Invoke walks them in the given preference
+// order: an endpoint whose circuit breaker is open is skipped, and a
+// substrate failure (as judged by resilience.Classify) fails over to the
+// next. Application-level SOAP faults and caller cancellation never fail
+// over. Each attempt's outcome feeds the endpoint's breaker, so health
+// transitions surface as HealthEvents on the peer's event tree.
+func (c *Client) NewInvocation(svcs ...*ServiceInfo) (*Invocation, error) {
 	if len(svcs) == 0 {
-		return nil, fmt.Errorf("core: failover invocation needs at least one service")
+		return nil, fmt.Errorf("core: invocation needs at least one service")
 	}
-	inv := &Invocation{client: c, targets: make([]invTarget, 0, len(svcs))}
-	for _, svc := range svcs {
+	inv := &Invocation{client: c, targets: make([]invTarget, len(svcs))}
+	for i, svc := range svcs {
 		t, err := c.resolveTarget(svc)
 		if err != nil {
 			return nil, err
 		}
-		inv.targets = append(inv.targets, t)
+		inv.targets[i] = t
 	}
-	return inv, nil
-}
-
-// NewHedgedInvocation binds a hedged invocation to one or more located
-// endpoints for the same logical service: Invoke races a second attempt
-// against a slow primary after the hedge threshold (adaptive from the
-// service's observed p99 unless opts fixes it), sending the hedge to the
-// next endpoint when several are bound. First success wins; the losing
-// attempt is cancelled. Hedges draw from the client's retry budget when
-// one is configured (ConfigureRetryBudget), so hedging cannot multiply
-// load unboundedly.
-func (c *Client) NewHedgedInvocation(opts HedgeOptions, svcs ...*ServiceInfo) (*Invocation, error) {
-	if len(svcs) == 0 {
-		return nil, fmt.Errorf("core: hedged invocation needs at least one service")
-	}
-	inv := &Invocation{client: c, targets: make([]invTarget, 0, len(svcs))}
-	for _, svc := range svcs {
-		t, err := c.resolveTarget(svc)
-		if err != nil {
-			return nil, err
-		}
-		inv.targets = append(inv.targets, t)
-	}
-	if opts.MaxHedges < 1 {
-		opts.MaxHedges = 1
-	}
-	inv.hedge = &hedgePlan{threshold: opts.Threshold, maxHedges: opts.MaxHedges}
 	return inv, nil
 }
 
@@ -437,7 +429,7 @@ const DefaultHedgeThreshold = 50 * time.Millisecond
 // before its observed p99 replaces DefaultHedgeThreshold.
 const hedgeMinSamples = 8
 
-// HedgeOptions tunes a hedged invocation (NewHedgedInvocation).
+// HedgeOptions tunes a hedged invocation (Invocation.WithHedging).
 type HedgeOptions struct {
 	// Threshold is how long the primary attempt may run before a hedge
 	// launches. Zero means adaptive: the service's observed client-side
@@ -449,19 +441,29 @@ type HedgeOptions struct {
 	MaxHedges int
 }
 
-// hedgePlan is an Invocation's resolved hedging configuration.
-type hedgePlan struct {
-	threshold time.Duration // 0 = adaptive from telemetry
-	maxHedges int
-}
-
-// Invocation is a client-side handle on one located service, or — when
-// created with NewFailoverInvocation — on an ordered set of endpoints for
-// the same logical service.
+// Invocation is a client-side handle on one located service, or on an
+// ordered set of endpoints for the same logical service (see
+// Client.NewInvocation).
 type Invocation struct {
 	client  *Client
-	targets []invTarget // preference order; [0] is the primary
-	hedge   *hedgePlan  // non-nil for hedged invocations
+	targets []invTarget   // preference order; [0] is the primary
+	hedge   *HedgeOptions // non-nil for hedged invocations
+}
+
+// WithHedging returns a hedged copy of the invocation: Invoke races a
+// second attempt against a slow primary after the hedge threshold
+// (adaptive from the service's observed p99 unless opts fixes it),
+// sending the hedge to the next endpoint when several are bound. First
+// success wins; the losing attempt is cancelled. Hedges draw from the
+// client's retry budget when one is configured (WithRetryBudget), so
+// hedging cannot multiply load unboundedly. The receiver is unchanged.
+func (inv *Invocation) WithHedging(opts HedgeOptions) *Invocation {
+	if opts.MaxHedges < 1 {
+		opts.MaxHedges = 1
+	}
+	h := *inv
+	h.hedge = &opts
+	return &h
 }
 
 // Service returns the primary target service.
@@ -484,10 +486,10 @@ const MetaResult = "core.result"
 
 // Invoke calls an operation synchronously through the client's call
 // pipeline; the terminal stage is the scheme-selected invoker (and, for
-// wire-aware invokers, the transport its exchange rides on) — or, for
-// failover invocations, the target walk described on
-// NewFailoverInvocation. The exchange is reported as a ClientMessageEvent
-// from the pipeline's Events stage.
+// wire-aware invokers, the transport its exchange rides on) — or, with
+// several targets, the failover walk described on Client.NewInvocation.
+// The exchange is reported as a ClientMessageEvent from the pipeline's
+// Events stage.
 func (inv *Invocation) Invoke(ctx context.Context, op string, params ...engine.Param) (*engine.Result, error) {
 	primary := inv.targets[0]
 	span, ctx := telemetry.Default().Tracer.StartSpan(ctx, "client.invoke")
@@ -558,12 +560,12 @@ func (inv *Invocation) invokeHedged(c *pipeline.Call, op string, params []engine
 	hedge := pipeline.Hedge(pipeline.HedgeOptions{
 		Threshold: DefaultHedgeThreshold,
 		ThresholdFunc: func(pc *pipeline.Call) time.Duration {
-			if plan.threshold > 0 {
-				return plan.threshold
+			if plan.Threshold > 0 {
+				return plan.Threshold
 			}
 			return adaptiveHedgeThreshold(pc.Service)
 		},
-		MaxHedges: plan.maxHedges,
+		MaxHedges: plan.MaxHedges,
 		// The caller opted into hedging when building the invocation, so
 		// every call through it may hedge — MarkIdempotent is not also
 		// required.
@@ -580,7 +582,7 @@ func (inv *Invocation) invokeHedged(c *pipeline.Call, op string, params []engine
 // refuses the attempt, which makes Hedge immediately try the next.
 func (inv *Invocation) hedgedAttempt(op string, params []engine.Param) pipeline.CallFunc {
 	return func(c *pipeline.Call) error {
-		group := inv.client.Breakers()
+		group := inv.client.breakers
 		t := inv.targets[pipeline.HedgeAttempt(c)%len(inv.targets)]
 		br := group.Breaker(t.svc.Endpoint)
 		if !br.Allow() {
@@ -622,7 +624,7 @@ func invokeTarget(c *pipeline.Call, t invTarget, op string, params []engine.Para
 // returned error is the last attempt's (or last refusal's) when no
 // target succeeds.
 func (inv *Invocation) invokeFailover(c *pipeline.Call, op string, params []engine.Param) (*engine.Result, error) {
-	group := inv.client.Breakers()
+	group := inv.client.breakers
 	var lastErr error
 	for _, t := range inv.targets {
 		if ctxErr := c.Ctx.Err(); ctxErr != nil {
@@ -659,7 +661,7 @@ func (inv *Invocation) invokeFailover(c *pipeline.Call, op string, params []engi
 		// A substrate failure demotes the endpoint in every cached
 		// resolution, so the next LocateCached-fed failover walk tries
 		// healthier endpoints first.
-		inv.client.ResolutionCache().DemoteEndpoint(t.svc.Endpoint)
+		inv.client.rcache.DemoteEndpoint(t.svc.Endpoint)
 	}
 	return nil, lastErr
 }
@@ -670,13 +672,13 @@ func (inv *Invocation) invokeFailover(c *pipeline.Call, op string, params []engi
 // "P2P style interactions with unreliable nodes".
 //
 // The call runs on the client's bounded invocation scheduler (see
-// ConfigureScheduler) rather than a goroutine per call: a burst of
+// WithScheduler) rather than a goroutine per call: a burst of
 // submissions holds at most MaxConcurrent invocations in flight, queued
 // submissions are shed with a *resilience.OverloadError when the queue
 // fills or the context expires while waiting, and the shed outcome
 // arrives at the callback like any other error.
 func (inv *Invocation) InvokeAsync(ctx context.Context, op string, params []engine.Param, cb func(*engine.Result, error)) {
-	inv.client.schedulerRef().submit(ctx,
+	inv.client.sched.submit(ctx,
 		func() {
 			res, err := inv.Invoke(ctx, op, params...)
 			if cb != nil {

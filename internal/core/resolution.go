@@ -57,26 +57,10 @@ func QueryKey(q ServiceQuery) string {
 	}
 }
 
-// ConfigureResolutionCache replaces the client's resolution cache with
-// one built from opts, discarding any cached resolutions. The cache is
-// created automatically with defaults (30s TTL, equal stale window, 2s
-// negative TTL); call this before relying on LocateCached if different
-// horizons are needed.
-func (c *Client) ConfigureResolutionCache(opts resolve.Options) {
-	cache := resolve.New(opts)
-	c.mu.Lock()
-	c.rcache = cache
-	c.mu.Unlock()
-}
-
 // ResolutionCache returns the client's resolution cache — the memoized
 // query → located-services map behind LocateCached, with its own
 // invalidation (Invalidate, Clear, EvictEndpoint) and Stats.
-func (c *Client) ResolutionCache() *resolve.Cache {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.rcache
-}
+func (c *Client) ResolutionCache() *resolve.Cache { return c.rcache }
 
 // LocateCached resolves the query through the client's resolution cache:
 // repeated lookups for the same query identity (see QueryKey) are served
@@ -89,10 +73,12 @@ func (c *Client) ResolutionCache() *resolve.Cache {
 //
 // Invalidation is wired to the resilience layer: an endpoint whose
 // circuit breaker opens is evicted from every cached resolution, and an
-// endpoint that fails over during a failover invocation is demoted to
-// the back of its lines' preference order.
+// endpoint that fails over during a multi-endpoint invocation is demoted
+// to the back of its lines' preference order. Bind every located endpoint
+// with NewInvocation(infos...) to get the failover walk in the cache's
+// (health-demoted) preference order.
 func (c *Client) LocateCached(ctx context.Context, q ServiceQuery) ([]*ServiceInfo, error) {
-	entries, err := c.ResolutionCache().Get(ctx, QueryKey(q), func(ctx context.Context) ([]resolve.Entry, error) {
+	entries, err := c.rcache.Get(ctx, QueryKey(q), func(ctx context.Context) ([]resolve.Entry, error) {
 		infos, err := c.Locate(ctx, q)
 		if err != nil {
 			return nil, err
@@ -113,63 +99,12 @@ func (c *Client) LocateCached(ctx context.Context, q ServiceQuery) ([]*ServiceIn
 	return infos, nil
 }
 
-// NewFailoverInvocationFor is the cached composite the resolution layer
-// exists for: resolve the query through the cache and bind a failover
-// invocation to every located endpoint in the cache's (health-demoted)
-// preference order. Repeated calls for the same query cost a map hit,
-// not a discovery fan-out.
-func (c *Client) NewFailoverInvocationFor(ctx context.Context, q ServiceQuery) (*Invocation, error) {
-	infos, err := c.LocateCached(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if len(infos) == 0 {
-		return nil, fmt.Errorf("core: no service found for %q", q.QueryName())
-	}
-	return c.NewFailoverInvocation(infos...)
-}
-
-// NewHedgedInvocationFor resolves the query through the resolution cache
-// and binds a hedged invocation across every located endpoint in the
-// cache's (health-demoted) preference order: the primary attempt goes to
-// the first endpoint and a slow primary is raced by a hedge against the
-// next one. See Client.NewHedgedInvocation for the hedging semantics.
-func (c *Client) NewHedgedInvocationFor(ctx context.Context, q ServiceQuery, opts HedgeOptions) (*Invocation, error) {
-	infos, err := c.LocateCached(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if len(infos) == 0 {
-		return nil, fmt.Errorf("core: no service found for %q", q.QueryName())
-	}
-	return c.NewHedgedInvocation(opts, infos...)
-}
-
 // ---------------------------------------------------------------------------
-// Scheduler configuration and scatter-gather invocation
-
-// ConfigureScheduler replaces the client's bounded invocation scheduler
-// — the worker pool behind InvokeAsync and InvokeMany — with one built
-// from opts. Tasks already queued on the previous scheduler still drain
-// through its workers.
-func (c *Client) ConfigureScheduler(opts SchedulerOptions) {
-	s := newScheduler(opts)
-	c.mu.Lock()
-	c.sched = s
-	c.mu.Unlock()
-}
+// Scatter-gather invocation
 
 // SchedulerStats returns a point-in-time snapshot of the client's
 // invocation scheduler.
-func (c *Client) SchedulerStats() SchedulerStats {
-	return c.schedulerRef().stats()
-}
-
-func (c *Client) schedulerRef() *scheduler {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sched
-}
+func (c *Client) SchedulerStats() SchedulerStats { return c.sched.stats() }
 
 // ManyResult is one endpoint's outcome within an InvokeMany scatter.
 type ManyResult struct {
@@ -195,7 +130,6 @@ type ManyResult struct {
 func (c *Client) InvokeMany(ctx context.Context, svcs []*ServiceInfo, op string, params []engine.Param) []ManyResult {
 	out := make([]ManyResult, len(svcs))
 	var wg sync.WaitGroup
-	sched := c.schedulerRef()
 	for i, svc := range svcs {
 		out[i].Service = svc
 		inv, err := c.NewInvocation(svc)
@@ -205,7 +139,7 @@ func (c *Client) InvokeMany(ctx context.Context, svcs []*ServiceInfo, op string,
 		}
 		wg.Add(1)
 		slot := &out[i]
-		sched.submit(ctx,
+		c.sched.submit(ctx,
 			func() {
 				defer wg.Done()
 				slot.Result, slot.Err = inv.Invoke(ctx, op, params...)

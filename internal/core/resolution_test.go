@@ -108,44 +108,48 @@ func TestLocateCachedNegative(t *testing.T) {
 	}
 }
 
-func TestConfigureResolutionCacheResets(t *testing.T) {
-	p := NewPeer()
+func TestWithResolutionCache(t *testing.T) {
+	p := NewPeer(WithResolutionCache(resolve.Options{TTL: time.Hour}))
 	loc := &countLocator{name: "l", results: []*ServiceInfo{{Name: "Echo", Endpoint: "http://a"}}}
 	p.Client().AddLocator(loc)
 	ctx := context.Background()
 	p.Client().LocateCached(ctx, NameQuery{Name: "Echo"})
-	p.Client().ConfigureResolutionCache(resolve.Options{TTL: time.Hour})
 	p.Client().LocateCached(ctx, NameQuery{Name: "Echo"})
-	if n := loc.calls.Load(); n != 2 {
-		t.Fatalf("reconfigure kept old lines: %d live locates", n)
+	if n := loc.calls.Load(); n != 1 {
+		t.Fatalf("configured cache missed: %d live locates", n)
 	}
 	if ttl := p.Client().ResolutionCache().Options().TTL; ttl != time.Hour {
 		t.Fatalf("options not applied: TTL = %v", ttl)
 	}
 }
 
-func TestNewFailoverInvocationFor(t *testing.T) {
+func TestNewInvocationFromCachedLocate(t *testing.T) {
 	p := NewPeer()
 	p.Client().AddLocator(&countLocator{name: "l", results: []*ServiceInfo{
 		{Name: "Echo", Endpoint: "http://a/Echo"},
 		{Name: "Echo", Endpoint: "http://b/Echo"},
 	}})
 	p.Client().RegisterInvoker(&fakeInvoker{schemes: []string{"http"}, result: &engine.Result{}})
-	inv, err := p.Client().NewFailoverInvocationFor(context.Background(), NameQuery{Name: "Echo"})
+	ctx := context.Background()
+	infos, err := p.Client().LocateCached(ctx, NameQuery{Name: "Echo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := p.Client().NewInvocation(infos...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(inv.targets) != 2 {
 		t.Fatalf("targets = %d, want 2", len(inv.targets))
 	}
-	if _, err := p.Client().NewFailoverInvocationFor(context.Background(), NameQuery{Name: "Missing"}); err == nil {
+	infos, _ = p.Client().LocateCached(ctx, NameQuery{Name: "Missing"})
+	if _, err := p.Client().NewInvocation(infos...); err == nil {
 		t.Fatal("missing service bound")
 	}
 }
 
 func TestBreakerOpenEvictsCachedEndpoint(t *testing.T) {
-	p := NewPeer()
-	p.Client().ConfigureBreakers(resilience.BreakerOptions{Window: 4, MinSamples: 2, FailureThreshold: 0.5})
+	p := NewPeer(WithBreakers(resilience.BreakerOptions{Window: 4, MinSamples: 2, FailureThreshold: 0.5}))
 	loc := &countLocator{name: "l", results: []*ServiceInfo{
 		{Name: "Echo", Endpoint: "http://bad/Echo"},
 		{Name: "Echo", Endpoint: "p2ps://ok/Echo"},
@@ -165,7 +169,7 @@ func TestBreakerOpenEvictsCachedEndpoint(t *testing.T) {
 	// failover walk, which records per-attempt breaker outcomes. The
 	// OnChange hook must evict the opened endpoint from the cached
 	// resolution.
-	inv, err := p.Client().NewFailoverInvocation(infos...)
+	inv, err := p.Client().NewInvocation(infos...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,11 @@ func TestFailoverMissDemotesCachedEndpoint(t *testing.T) {
 	ctx := context.Background()
 	q := NameQuery{Name: "Echo"}
 
-	inv, err := p.Client().NewFailoverInvocationFor(ctx, q)
+	infos, err := p.Client().LocateCached(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := p.Client().NewInvocation(infos...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,8 +175,7 @@ func TestSchedulerQueueTimeout(t *testing.T) {
 }
 
 func TestInvokeAsyncRunsOnScheduler(t *testing.T) {
-	p := NewPeer()
-	p.Client().ConfigureScheduler(SchedulerOptions{MaxConcurrent: 3})
+	p := NewPeer(WithScheduler(SchedulerOptions{MaxConcurrent: 3}))
 	inv := &gaugeInvoker{schemes: []string{"http"}, delay: 2 * time.Millisecond}
 	p.Client().RegisterInvoker(inv)
 
@@ -227,8 +226,7 @@ func TestInvokeManyOrderingAndErrors(t *testing.T) {
 // TestInvokeManyBurst is the acceptance check: a 100-call concurrent
 // burst completes with goroutines bounded by the scheduler cap.
 func TestInvokeManyBurst(t *testing.T) {
-	p := NewPeer()
-	p.Client().ConfigureScheduler(SchedulerOptions{MaxConcurrent: 8, MaxQueue: 256})
+	p := NewPeer(WithScheduler(SchedulerOptions{MaxConcurrent: 8, MaxQueue: 256}))
 	inv := &gaugeInvoker{schemes: []string{"http"}, delay: time.Millisecond}
 	p.Client().RegisterInvoker(inv)
 

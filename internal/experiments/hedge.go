@@ -125,7 +125,10 @@ func runHedgeCell(seed int64, calls int, hedged bool) (*HedgeRow, error) {
 		// straggle on both of the first two attempts — right at the p99
 		// boundary for 200 calls — so a third attempt is what actually
 		// collapses the p99.
-		inv, err = peer.Client().NewHedgedInvocation(core.HedgeOptions{Threshold: threshold, MaxHedges: 2}, infos...)
+		inv, err = peer.Client().NewInvocation(infos...)
+		if err == nil {
+			inv = inv.WithHedging(core.HedgeOptions{Threshold: threshold, MaxHedges: 2})
+		}
 	} else {
 		inv, err = peer.Client().NewInvocation(infos[0])
 	}

@@ -130,22 +130,21 @@ func runResilienceCell(seed int64, calls int, rate float64, resilient bool) (*Re
 		return nil, err
 	}
 
-	peer := core.NewPeer()
-	peer.Client().RegisterInvoker(&memInvoker{stubs: map[string]*engine.Stub{primary: ps, fallback: fs}})
 	clock := &manualClock{t: time.Unix(0, 0)}
-	peer.Client().ConfigureBreakers(resilience.BreakerOptions{
+	peer := core.NewPeer(core.WithBreakers(resilience.BreakerOptions{
 		Window:           8,
 		FailureThreshold: 0.5,
 		MinSamples:       4,
 		OpenTimeout:      50 * time.Millisecond,
 		Now:              clock.Now,
-	})
+	}))
+	peer.Client().RegisterInvoker(&memInvoker{stubs: map[string]*engine.Stub{primary: ps, fallback: fs}})
 
 	primaryInfo := &core.ServiceInfo{Name: "Echo", Endpoint: primary}
 	fallbackInfo := &core.ServiceInfo{Name: "Echo", Endpoint: fallback}
 	var inv *core.Invocation
 	if resilient {
-		inv, err = peer.Client().NewFailoverInvocation(primaryInfo, fallbackInfo)
+		inv, err = peer.Client().NewInvocation(primaryInfo, fallbackInfo)
 	} else {
 		inv, err = peer.Client().NewInvocation(primaryInfo)
 	}

@@ -64,7 +64,9 @@ func RunThroughput() ([]ThroughputResult, error) {
 			registryHost.Close()
 			return nil, err
 		}
-		peer := wspeer.NewPeer()
+		// The cache is configured from the start: the uncached run below
+		// calls Locate, which never consults it.
+		peer := wspeer.NewPeer(wspeer.WithResolutionCache(wspeer.ResolutionCacheOptions{TTL: time.Hour}))
 		binding, err := wspeer.NewHTTPBinding(wspeer.HTTPOptions{UDDIEndpoint: registryURL})
 		if err != nil {
 			registryHost.Close()
@@ -89,7 +91,6 @@ func RunThroughput() ([]ThroughputResult, error) {
 		})
 		if setupErr == nil {
 			out = append(out, toThroughput("LocateUncached", 1, r))
-			peer.Client().ConfigureResolutionCache(wspeer.ResolutionCacheOptions{TTL: time.Hour})
 			r = testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if infos, err := peer.Client().LocateCached(ctx, q); err != nil || len(infos) == 0 {
@@ -113,7 +114,7 @@ func RunThroughput() ([]ThroughputResult, error) {
 	{
 		const burst = 100
 		const serviceTime = time.Millisecond
-		peer := wspeer.NewPeer()
+		peer := wspeer.NewPeer(wspeer.WithScheduler(wspeer.SchedulerOptions{MaxConcurrent: 32, MaxQueue: 256}))
 		binding, err := wspeer.NewHTTPBinding(wspeer.HTTPOptions{})
 		if err != nil {
 			return nil, err
@@ -133,7 +134,6 @@ func RunThroughput() ([]ThroughputResult, error) {
 		for i := range svcs {
 			svcs[i] = &wspeer.ServiceInfo{Name: "Echo", Endpoint: dep.Endpoint, Definitions: dep.Definitions}
 		}
-		peer.Client().ConfigureScheduler(wspeer.SchedulerOptions{MaxConcurrent: 32, MaxQueue: 256})
 		ctx := context.Background()
 
 		r := testing.Benchmark(func(b *testing.B) {

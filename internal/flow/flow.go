@@ -181,7 +181,7 @@ type run struct {
 // Run executes the workflow: steps start as soon as their dependencies
 // complete, independent branches in parallel. The first failure cancels
 // the remaining steps. Each step's invocation runs on its client's bounded
-// invocation scheduler (core.Client.ConfigureScheduler), so a wide fan-out
+// invocation scheduler (configured with core.WithScheduler), so a wide fan-out
 // holds at most MaxConcurrent invocations in flight per client and excess
 // steps are shed with a *resilience.OverloadError instead of stampeding
 // the substrate.

@@ -25,11 +25,11 @@ type rig struct {
 	reg  *transport.Registry
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T, opts ...core.Option) *rig {
 	t.Helper()
 	r := &rig{
 		t:    t,
-		peer: core.NewPeer(),
+		peer: core.NewPeer(opts...),
 		net:  transport.NewInMemNetwork(),
 		reg:  transport.NewRegistry(),
 	}
@@ -332,8 +332,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestFanOutRespectsSchedulerBound(t *testing.T) {
-	r := newRig(t)
-	r.peer.Client().ConfigureScheduler(core.SchedulerOptions{MaxConcurrent: 2, MaxQueue: 64})
+	r := newRig(t, core.WithScheduler(core.SchedulerOptions{MaxConcurrent: 2, MaxQueue: 64}))
 
 	var inFlight, peak int64
 	var mu sync.Mutex
@@ -375,8 +374,7 @@ func TestFanOutRespectsSchedulerBound(t *testing.T) {
 }
 
 func TestFanOutShedsWhenSchedulerSaturated(t *testing.T) {
-	r := newRig(t)
-	r.peer.Client().ConfigureScheduler(core.SchedulerOptions{MaxConcurrent: 1, MaxQueue: 1})
+	r := newRig(t, core.WithScheduler(core.SchedulerOptions{MaxConcurrent: 1, MaxQueue: 1}))
 
 	// The held step unblocks when the run is cancelled (by the shed
 	// error) so Run can drain; a hard block would deadlock wg.Wait.

@@ -54,24 +54,17 @@ var (
 	mHostRequests  = telemetry.Default().Meter.Counter("httpd.requests")
 	mHostFaults    = telemetry.Default().Meter.Counter("httpd.faults")
 	mHostOverloads = telemetry.Default().Meter.Counter("httpd.overloads")
+	mHostOversized = telemetry.Default().Meter.Counter("httpd.oversized")
 )
 
-// maxRequestBytes bounds request bodies accepted from the network.
+// maxRequestBytes bounds request bodies accepted from the network. A
+// larger body is refused with 413, never truncated.
 const maxRequestBytes = 64 << 20
 
 // Interceptor lets the hosting application handle a raw request before the
 // messaging engine sees it. Returning handled=false passes the request on
 // unchanged; returning handled=true short-circuits with the given response.
 type Interceptor func(service string, req *transport.Request) (resp *transport.Response, handled bool, err error)
-
-// Observer receives raw request/response notifications either side of
-// engine processing (the hook the core layer turns into ServerMessageEvents).
-//
-// Deprecated: the observer seam is kept for API compatibility; it fires
-// from the same instrumented point that feeds the telemetry spine. New
-// code should attach a telemetry.Sink to the Default tracer (for spans)
-// or read the spine's snapshot (for counts) instead.
-type Observer func(service string, req *transport.Request, resp *transport.Response)
 
 // Options configures a Host.
 type Options struct {
@@ -99,8 +92,9 @@ type Options struct {
 
 // Host exposes an engine's services over HTTP without a container.
 type Host struct {
-	eng  *engine.Engine
-	opts Options
+	eng     *engine.Engine
+	opts    Options
+	maxBody int64 // request body limit, maxRequestBytes outside tests
 
 	mu          sync.Mutex
 	ln          net.Listener
@@ -108,7 +102,6 @@ type Host struct {
 	started     bool
 	closed      bool
 	interceptor Interceptor
-	observer    Observer
 	deployed    map[string]bool
 	callbacks   map[string]func(body []byte)
 	callbackSeq int64
@@ -129,7 +122,7 @@ func New(eng *engine.Engine, opts Options) *Host {
 	if opts.Admission != nil {
 		eng.SetAdmission(opts.Admission)
 	}
-	return &Host{eng: eng, opts: opts, deployed: make(map[string]bool)}
+	return &Host{eng: eng, opts: opts, maxBody: maxRequestBytes, deployed: make(map[string]bool)}
 }
 
 // SetInterceptor installs the application's raw-request hook. For
@@ -139,13 +132,6 @@ func (h *Host) SetInterceptor(i Interceptor) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.interceptor = i
-}
-
-// SetObserver installs a request/response observer.
-func (h *Host) SetObserver(o Observer) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.observer = o
 }
 
 // Started reports whether the lazy listener is up.
@@ -249,9 +235,8 @@ func (h *Host) handleCallback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		http.Error(w, "reading reply", http.StatusBadRequest)
+	body, ok := h.readBody(w, r)
+	if !ok {
 		return
 	}
 	if h.opts.Profile == "httpg" {
@@ -263,6 +248,24 @@ func (h *Host) handleCallback(w http.ResponseWriter, r *http.Request) {
 	}
 	deliver(body)
 	w.WriteHeader(http.StatusAccepted)
+}
+
+// readBody reads a request body of at most the host's limit. It reads one
+// byte past the limit so an oversized body is answered with 413 and
+// counted in httpd.oversized instead of being silently truncated; ok is
+// false once the response has been written.
+func (h *Host) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, h.maxBody+1))
+	if err != nil {
+		http.Error(w, "reading request", http.StatusBadRequest)
+		return nil, false
+	}
+	if int64(len(body)) > h.maxBody {
+		mHostOversized.Inc()
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", h.maxBody), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return body, true
 }
 
 // ensureStarted lazily launches the listener.
@@ -350,7 +353,6 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	known := h.deployed[service]
 	interceptor := h.interceptor
-	observer := h.observer
 	h.mu.Unlock()
 	if !known {
 		http.NotFound(w, r)
@@ -381,9 +383,8 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		http.Error(w, "reading request", http.StatusBadRequest)
+	body, ok := h.readBody(w, r)
+	if !ok {
 		return
 	}
 	if h.opts.Profile == "httpg" {
@@ -418,6 +419,7 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var resp *transport.Response
+	var err error
 	handled := false
 	if interceptor != nil {
 		resp, handled, err = interceptor(service, req)
@@ -445,9 +447,6 @@ func (h *Host) handle(w http.ResponseWriter, r *http.Request) {
 			writeFault(w, soap.ServerFault(err))
 			return
 		}
-	}
-	if observer != nil {
-		observer(service, req, resp)
 	}
 	if len(resp.Body) == 0 {
 		w.WriteHeader(http.StatusAccepted) // one-way

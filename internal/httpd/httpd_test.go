@@ -222,23 +222,52 @@ func TestInterceptorError(t *testing.T) {
 	}
 }
 
-func TestObserver(t *testing.T) {
+// TestOversizedBodyRefused posts one byte past the body limit to a
+// service route and to a callback route: both answer 413 and count the
+// refusal instead of truncating the body. The limit is lowered from
+// maxRequestBytes so the test does not buffer 64 MB; a body of exactly
+// the limit still gets through.
+func TestOversizedBodyRefused(t *testing.T) {
 	h := newHost(t, Options{})
-	if _, err := h.Deploy(echoDef()); err != nil {
+	h.maxBody = 1 << 10
+	endpoint, err := h.Deploy(echoDef())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var seen atomic.Int64
-	h.SetObserver(func(service string, req *transport.Request, resp *transport.Response) {
-		if service == "Echo" && len(req.Body) > 0 && len(resp.Body) > 0 {
-			seen.Add(1)
+	var delivered atomic.Int64
+	cbURL, cancel, err := h.HostCallback(func(body []byte) { delivered.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+
+	post := func(url string, n int64) int {
+		t.Helper()
+		resp, err := http.Post(url, soap.ContentType, strings.NewReader(strings.Repeat("x", int(n))))
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	stub := stubFor(t, h, "Echo", nil)
-	if _, err := stub.Invoke(context.Background(), "echoString", engine.P("msg", "x")); err != nil {
-		t.Fatal(err)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	if seen.Load() != 1 {
-		t.Fatalf("observer saw %d exchanges", seen.Load())
+	before := mHostOversized.Value()
+	for _, url := range []string{endpoint, cbURL} {
+		if code := post(url, h.maxBody+1); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with %d bytes: status %d, want 413", url, h.maxBody+1, code)
+		}
+	}
+	if got := mHostOversized.Value() - before; got != 2 {
+		t.Fatalf("httpd.oversized rose by %d, want 2", got)
+	}
+	if delivered.Load() != 0 {
+		t.Fatal("oversized reply reached the callback")
+	}
+	if code := post(cbURL, h.maxBody); code != http.StatusAccepted {
+		t.Fatalf("body at the limit: status %d, want 202", code)
+	}
+	if delivered.Load() != 1 {
+		t.Fatal("body at the limit was not delivered")
 	}
 }
 

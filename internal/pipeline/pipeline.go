@@ -14,8 +14,8 @@
 // Stock interceptors ship in this package: Deadline (per-call timeout
 // enforcement), Retry (idempotent-safe retransmission with exponential
 // backoff and jitter), Events (one choke point for client/server message
-// events) and CallStats (atomic per-service counters and a latency
-// histogram). Layers above install them via core.Client.Use,
+// events) and Hedge (a racing attempt against a slow primary). Per-service
+// call counts live in the telemetry spine's call table. Layers above install them via core.Client.Use,
 // engine.Engine.Use, or a binding's Use method.
 package pipeline
 

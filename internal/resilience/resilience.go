@@ -26,8 +26,8 @@
 //     do not — so breakers, failover and health reporting agree.
 //
 // The cross-binding failover invoker itself lives in internal/core
-// (core.Client.NewFailoverInvocation) because it needs the client's
-// invoker table; it drives the breakers defined here.
+// (core.Client.NewInvocation with several services) because it needs the
+// client's invoker table; it drives the breakers defined here.
 package resilience
 
 import (

@@ -378,7 +378,7 @@ func (c *Cache) EvictEndpoint(endpoint string) int {
 
 // DemoteEndpoint moves an endpoint to the back of every cached line's
 // preference order — the hook core wires to failover misses, so the
-// next cached failover invocation tries healthier endpoints first. It
+// next invocation bound to the cached line tries healthier endpoints first. It
 // returns the number of lines reordered.
 func (c *Cache) DemoteEndpoint(endpoint string) int {
 	c.mu.Lock()

@@ -168,9 +168,8 @@ func (e *errWriter) Write(p []byte) (int, error) {
 }
 
 // SpanRing is a bounded ring Sink retaining the most recent spans — the
-// buffer behind /debug/wspeer/trace. Unlike Collector (which stops
-// accepting at capacity, for deterministic tests), a SpanRing keeps the
-// newest spans and evicts the oldest.
+// buffer behind /debug/wspeer/trace, and the sink tests collect spans
+// with. At capacity it keeps the newest spans and evicts the oldest.
 type SpanRing struct {
 	mu    sync.Mutex
 	ring  []SpanData

@@ -409,13 +409,18 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpanRing pins the ring's bound: Len grows to the capacity and
+// stays there, and the oldest spans are the ones evicted.
 func TestSpanRing(t *testing.T) {
 	r := NewSpanRing(4)
+	if r.Len() != 0 || len(r.Spans()) != 0 {
+		t.Fatal("fresh ring not empty")
+	}
 	for i := 0; i < 10; i++ {
 		r.OnSpanEnd(SpanData{SpanID: uint64(i + 1)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+		if want := min(i+1, 4); r.Len() != want {
+			t.Fatalf("after %d spans Len = %d, want %d", i+1, r.Len(), want)
+		}
 	}
 	spans := r.Spans()
 	for i, d := range spans {

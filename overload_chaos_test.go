@@ -56,19 +56,19 @@ func runRetryStorm(t *testing.T, budgeted bool) (attempts int64, failures int) {
 	reg := transport.NewRegistry()
 	reg.Register(injector.Transport(transport.NewHTTPTransport()))
 
-	consumer := wspeer.NewPeer()
+	var opts []wspeer.PeerOption
+	if budgeted {
+		opts = append(opts, wspeer.WithRetryBudget(wspeer.RetryBudgetOptions{
+			Floor: 3, Cap: 10, Ratio: 0.1,
+		}))
+	}
+	consumer := wspeer.NewPeer(opts...)
 	chb, err := wspeer.NewHTTPBinding(wspeer.HTTPOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	chb.Attach(consumer)
 	defer chb.Close()
-
-	if budgeted {
-		consumer.Client().ConfigureRetryBudget(wspeer.RetryBudgetOptions{
-			Floor: 3, Cap: 10, Ratio: 0.1,
-		})
-	}
 	consumer.Client().Use(wspeer.Retry(wspeer.RetryOptions{
 		Attempts:  4,
 		BaseDelay: time.Millisecond,

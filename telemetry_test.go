@@ -91,8 +91,8 @@ func TestTelemetryTraceLinkage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col := wspeer.NewSpanCollector(0)
-	prev := wspeer.Telemetry().Tracer.SetSink(col)
+	ring := wspeer.NewSpanRing(0)
+	prev := wspeer.Telemetry().Tracer.SetSink(ring)
 	t.Cleanup(func() { wspeer.Telemetry().Tracer.SetSink(prev) })
 
 	if res, err := inv.Invoke(ctx, "echo", wspeer.P("msg", "linked")); err != nil {
@@ -101,7 +101,12 @@ func TestTelemetryTraceLinkage(t *testing.T) {
 		t.Fatalf("echo = %q", got)
 	}
 
-	spans := col.ByService("TraceEcho")
+	var spans []wspeer.SpanData
+	for _, d := range ring.Spans() {
+		if d.Service == "TraceEcho" {
+			spans = append(spans, d)
+		}
+	}
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
 	}
@@ -130,8 +135,8 @@ func TestTelemetryConcurrent(t *testing.T) {
 		invs[i] = inMemPair(t, fmt.Sprintf("ConcEcho%d", i))
 	}
 
-	col := wspeer.NewSpanCollector(0)
-	prev := wspeer.Telemetry().Tracer.SetSink(col)
+	ring := wspeer.NewSpanRing(0)
+	prev := wspeer.Telemetry().Tracer.SetSink(ring)
 	t.Cleanup(func() { wspeer.Telemetry().Tracer.SetSink(prev) })
 
 	before := wspeer.Snapshot()
@@ -189,8 +194,8 @@ func TestTelemetryConcurrent(t *testing.T) {
 		t.Fatalf("transport.inmem.calls grew by %d, want >= %d", grew, workers*callsPerWorker)
 	}
 	// Every call produced a client and a server span.
-	if col.Len() < 2*workers*callsPerWorker {
-		t.Fatalf("collected %d spans, want >= %d", col.Len(), 2*workers*callsPerWorker)
+	if ring.Len() < 2*workers*callsPerWorker {
+		t.Fatalf("collected %d spans, want >= %d", ring.Len(), 2*workers*callsPerWorker)
 	}
 }
 

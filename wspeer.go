@@ -46,10 +46,19 @@
 //		}},
 //	})
 //
-//	// Consume: locate anywhere, invoke anything.
-//	info, _ := peer.Client().LocateOne(ctx, wspeer.NameQuery{Name: "Echo"})
-//	inv, _ := peer.Client().NewInvocation(info)
+//	// Consume: locate anywhere, invoke anything. Every endpoint located
+//	// for the service binds one invocation that fails over between them.
+//	infos, _ := peer.Client().LocateCached(ctx, wspeer.NameQuery{Name: "Echo"})
+//	inv, _ := peer.Client().NewInvocation(infos...)
 //	res, _ := inv.Invoke(ctx, "echo", wspeer.P("in0", "hello"))
+//
+// The client's subsystems are fixed when the peer is built, one option per
+// subsystem; a peer built without options keeps the defaults:
+//
+//	peer := wspeer.NewPeer(
+//		wspeer.WithBreakers(wspeer.BreakerOptions{OpenTimeout: time.Second}),
+//		wspeer.WithRetryBudget(wspeer.RetryBudgetOptions{}),
+//	)
 package wspeer
 
 import (
@@ -158,13 +167,6 @@ type (
 	CallDirection = pipeline.Direction
 	// RetryOptions tunes the Retry interceptor.
 	RetryOptions = pipeline.RetryOptions
-	// CallStats aggregates per-service call counts and latency.
-	//
-	// Deprecated: a thin adapter over the telemetry spine's call table;
-	// read Snapshot() instead of installing a CallStats interceptor.
-	CallStats = pipeline.CallStats
-	// ServiceSnapshot is one service's aggregated statistics.
-	ServiceSnapshot = pipeline.ServiceSnapshot
 )
 
 // The telemetry spine (DESIGN.md §12): every layer — pipeline
@@ -183,12 +185,11 @@ type (
 	Span = telemetry.Span
 	// SpanData is an ended span as delivered to a sink.
 	SpanData = telemetry.SpanData
-	// SpanCollector is a bounded in-memory sink for tests and debugging.
-	SpanCollector = telemetry.Collector
 	// CallSnapshot is one service+direction row of the spine's call table.
 	CallSnapshot = telemetry.CallSnapshot
-	// SpanRing is a bounded ring of ended spans backing the Chrome trace
-	// export; attach one with EnableTracing.
+	// SpanRing is a bounded ring of ended spans, oldest evicted first:
+	// the buffer behind the Chrome trace export (attach one with
+	// EnableTracing) and the sink tests collect spans with.
 	SpanRing = telemetry.SpanRing
 	// FlightRecord is one completed call retained by the flight recorder.
 	FlightRecord = telemetry.CallRecord
@@ -239,9 +240,10 @@ func Telemetry() *TelemetryHub { return telemetry.Default() }
 // document is served as JSON at an HTTP host's /debug/wspeer endpoint.
 func Snapshot() TelemetrySnapshot { return telemetry.Default().Snapshot() }
 
-// NewSpanCollector returns a bounded in-memory span sink (default
-// capacity 4096 for capacity <= 0).
-func NewSpanCollector(capacity int) *SpanCollector { return telemetry.NewCollector(capacity) }
+// NewSpanRing returns a span ring retaining the newest capacity spans
+// (default 2048 for capacity <= 0); attach it with
+// Telemetry().Tracer.SetSink.
+func NewSpanRing(capacity int) *SpanRing { return telemetry.NewSpanRing(capacity) }
 
 // EnableTracing attaches a bounded span ring (default capacity 2048 for
 // capacity <= 0) to the process-wide tracer and returns it. Once enabled,
@@ -256,8 +258,7 @@ func EnableTracing(capacity int) *SpanRing { return telemetry.Default().EnableTr
 func WritePrometheus(w io.Writer) error { return telemetry.Default().WritePrometheus(w) }
 
 // WriteChromeTrace renders spans as Chrome trace-event JSON, loadable in
-// chrome://tracing or https://ui.perfetto.dev. Pass a SpanRing's Spans()
-// or a SpanCollector's Spans().
+// chrome://tracing or https://ui.perfetto.dev. Pass a SpanRing's Spans().
 func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 	return telemetry.WriteChromeTrace(w, spans)
 }
@@ -278,10 +279,6 @@ func Deadline(d time.Duration) CallInterceptor { return pipeline.Deadline(d) }
 // exponential backoff; see MarkIdempotent and Idempotent.
 func Retry(opts RetryOptions) CallInterceptor { return pipeline.Retry(opts) }
 
-// NewCallStats returns an empty statistics collector; install it with
-// Client.Use / a binding's Use and read it with Snapshot.
-func NewCallStats() *CallStats { return pipeline.NewCallStats() }
-
 // MarkIdempotent flags a call as safe to retry.
 func MarkIdempotent(c *PipelineCall) { pipeline.MarkIdempotent(c) }
 
@@ -289,7 +286,8 @@ func MarkIdempotent(c *PipelineCall) { pipeline.MarkIdempotent(c) }
 func Idempotent(c *PipelineCall) bool { return pipeline.Idempotent(c) }
 
 // The resilience layer (DESIGN.md §10): circuit breaking, cross-binding
-// failover (Client.NewFailoverInvocation), server-side admission control
+// failover (Client.NewInvocation with several services), server-side
+// admission control
 // and deterministic fault injection.
 type (
 	// Breaker is a per-endpoint circuit breaker.
@@ -332,8 +330,8 @@ type (
 	// HedgeOptions tunes the Hedge interceptor (threshold, fan-out,
 	// budget).
 	HedgeOptions = pipeline.HedgeOptions
-	// InvocationHedgeOptions tunes a hedged invocation built with
-	// Client.NewHedgedInvocation / NewHedgedInvocationFor.
+	// InvocationHedgeOptions tunes a hedged invocation
+	// (Invocation.WithHedging).
 	InvocationHedgeOptions = core.HedgeOptions
 )
 
@@ -353,8 +351,8 @@ const (
 func NewAdmission(opts AdmissionOptions) *Admission { return resilience.NewAdmission(opts) }
 
 // NewBreakerGroup returns a standalone endpoint breaker registry. The
-// per-client registry (Client.Breakers) is created automatically; use
-// Client.ConfigureBreakers to tune it.
+// per-client registry (Client.Breakers) is created with the peer; tune it
+// with WithBreakers.
 func NewBreakerGroup(opts BreakerOptions) *BreakerGroup { return resilience.NewGroup(opts) }
 
 // NewFaultInjector returns a deterministic fault injector drawing from
@@ -364,12 +362,12 @@ func NewFaultInjector(seed int64, opts ...FaultInjectorOptions) *FaultInjector {
 }
 
 // NewRetryBudget returns a standalone retransmission budget; the
-// per-client budget is installed with Client.ConfigureRetryBudget.
+// per-client budget is installed with WithRetryBudget.
 func NewRetryBudget(opts RetryBudgetOptions) *RetryBudget { return resilience.NewRetryBudget(opts) }
 
 // Hedge returns an interceptor that races a second attempt against a slow
 // primary, first success wins; see pipeline.Hedge for the semantics and
-// Client.NewHedgedInvocation for the endpoint-aware form.
+// Invocation.WithHedging for the endpoint-aware form.
 func Hedge(opts HedgeOptions) CallInterceptor { return pipeline.Hedge(opts) }
 
 // DeadlineHeader is the HTTP header carrying the caller's absolute
@@ -379,7 +377,7 @@ const DeadlineHeader = transport.DeadlineHeader
 
 // The resolution-and-scheduling layer (DESIGN.md §13): a per-client
 // discovery resolution cache that takes repeated Locate fan-outs off the
-// hot path (Client.LocateCached, Client.NewFailoverInvocationFor), and a
+// hot path (Client.LocateCached), and a
 // bounded invocation scheduler behind InvokeAsync and the scatter-gather
 // Client.InvokeMany.
 type (
@@ -388,8 +386,7 @@ type (
 	// singleflight collapsing (Client.ResolutionCache).
 	ResolutionCache = resolve.Cache
 	// ResolutionCacheOptions tunes the cache (TTL, stale window,
-	// negative TTL, capacity); install with
-	// Client.ConfigureResolutionCache.
+	// negative TTL, capacity); install with WithResolutionCache.
 	ResolutionCacheOptions = resolve.Options
 	// ResolutionCacheStats is a point-in-time cache counter snapshot.
 	ResolutionCacheStats = resolve.Stats
@@ -398,7 +395,7 @@ type (
 	QueryCacheKeyer = core.CacheKeyer
 	// SchedulerOptions tunes the client's bounded invocation scheduler
 	// (concurrency cap, queue bound, queue timeout); install with
-	// Client.ConfigureScheduler.
+	// WithScheduler.
 	SchedulerOptions = core.SchedulerOptions
 	// SchedulerStats is a point-in-time scheduler snapshot
 	// (Client.SchedulerStats).
@@ -419,7 +416,7 @@ func QueryKey(q ServiceQuery) string { return core.QueryKey(q) }
 // wsa:RelatesTo in a bounded table.
 type (
 	// ExchangeOptions configures the client side of the exchange layer;
-	// install with Client.ConfigureExchange.
+	// install with WithExchange.
 	ExchangeOptions = core.ExchangeOptions
 	// ExchangeTableOptions bounds the callback correlation table
 	// (capacity, TTL, duplicate-suppression window).
@@ -555,9 +552,34 @@ func StepOutput(step, part string, proto interface{}) WorkflowSource {
 	return flow.Output(step, part, proto)
 }
 
+// PeerOption fixes one client subsystem's configuration when the peer is
+// built.
+type PeerOption = core.Option
+
 // NewPeer returns a peer with empty client and server sides; attach one or
-// more bindings to populate them.
-func NewPeer() *Peer { return core.NewPeer() }
+// more bindings to populate them. The options fix the client's
+// subsystems for the peer's lifetime; without them every subsystem keeps
+// its defaults.
+func NewPeer(opts ...PeerOption) *Peer { return core.NewPeer(opts...) }
+
+// WithBreakers tunes the client's per-endpoint circuit breakers.
+func WithBreakers(opts BreakerOptions) PeerOption { return core.WithBreakers(opts) }
+
+// WithRetryBudget installs a client-wide retransmission budget shared by
+// retries and hedges (none by default).
+func WithRetryBudget(opts RetryBudgetOptions) PeerOption { return core.WithRetryBudget(opts) }
+
+// WithResolutionCache tunes the resolution cache behind LocateCached.
+func WithResolutionCache(opts ResolutionCacheOptions) PeerOption {
+	return core.WithResolutionCache(opts)
+}
+
+// WithScheduler tunes the bounded scheduler behind InvokeAsync and
+// InvokeMany.
+func WithScheduler(opts SchedulerOptions) PeerOption { return core.WithScheduler(opts) }
+
+// WithExchange configures the client side of the message-exchange layer.
+func WithExchange(opts ExchangeOptions) PeerOption { return core.WithExchange(opts) }
 
 // P constructs a named invocation parameter.
 func P(name string, value interface{}) Param { return engine.P(name, value) }
